@@ -1,6 +1,6 @@
-//! Ablation benches for the design choices DESIGN.md §5 calls out:
-//! refinement rounds vs. candidate-set size, GIN vs. mean aggregation
-//! cost, and `G_B` connector edges on/off.
+//! Ablation benches for two of the design choices DESIGN.md §5 calls out:
+//! refinement rounds vs. candidate-set size and filtering cost, and
+//! profile radius vs. local-pruning cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use neursc_graph::sample::{sample_query, QuerySampler};

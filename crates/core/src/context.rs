@@ -23,8 +23,7 @@ use crate::faults::FaultPlan;
 use crate::obs::{self, ObsSink};
 use neursc_gnn::{FeatureCache, FeatureConfig};
 use neursc_graph::Graph;
-use neursc_match::profile::Profile;
-use neursc_match::ProfileCache;
+use neursc_match::{ProfileCache, ProfileTable};
 use neursc_nn::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -133,7 +132,7 @@ impl GraphContext {
     /// The radius-`r` profiles of `g` from the cache, with hit/miss
     /// counters (`cache.profile.hit`/`.miss`) and, on a miss, a
     /// `filter.profile_build` span delivered to the sink.
-    pub fn profiles_for(&self, g: &Graph, r: u32) -> (Arc<Vec<Profile>>, bool) {
+    pub fn profiles_for(&self, g: &Graph, r: u32) -> (Arc<ProfileTable>, bool) {
         let (profiles, hit, build_ns) = self.profiles.profiles_traced(g, r);
         if hit {
             self.obs.counter_add("cache.profile.hit", 1);

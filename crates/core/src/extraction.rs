@@ -165,7 +165,7 @@ pub(crate) fn extract_from_candidates(
 ) -> Extraction {
     let _sp = Span::enter("extract.components");
     let t0 = std::time::Instant::now();
-    if candidates.is_trivially_zero() {
+    let Some(union) = candidates.nontrivial_union() else {
         return Extraction {
             candidates,
             substructures: Vec::new(),
@@ -173,9 +173,7 @@ pub(crate) fn extract_from_candidates(
             degraded,
             report,
         };
-    }
-    let mut union = Vec::new();
-    candidates.union_into(&mut union);
+    };
     let g_sub = induced_subgraph(g, &union);
     let components = connected_components(&g_sub.graph);
 

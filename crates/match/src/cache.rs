@@ -16,7 +16,7 @@
 //! evict the least-recently-used entry and count it in
 //! [`ProfileCache::evicted_total`].
 
-use crate::profile::{all_profiles, Profile};
+use crate::profile::{all_profiles, ProfileTable};
 use neursc_graph::Graph;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -26,7 +26,7 @@ use std::sync::Arc;
 struct CacheEntry {
     fingerprint: u64,
     radius: u32,
-    profiles: Arc<Vec<Profile>>,
+    profiles: Arc<ProfileTable>,
     /// Recency stamp from the cache-wide tick, updated on every hit (atomic
     /// so hits stay on the shared read lock).
     last_used: AtomicU64,
@@ -40,7 +40,7 @@ pub struct ProfileExport {
     /// Profile radius the entry was computed at.
     pub radius: u32,
     /// The cached profiles (shared, not copied).
-    pub profiles: Arc<Vec<Profile>>,
+    pub profiles: Arc<ProfileTable>,
 }
 
 /// Thread-safe `(graph, radius) → all_profiles` cache.
@@ -95,7 +95,7 @@ impl ProfileCache {
 
     /// Returns the radius-`r` profiles of `g`, computing and memoizing them
     /// on first request.
-    pub fn profiles(&self, g: &Graph, r: u32) -> Arc<Vec<Profile>> {
+    pub fn profiles(&self, g: &Graph, r: u32) -> Arc<ProfileTable> {
         self.profiles_traced(g, r).0
     }
 
@@ -103,7 +103,7 @@ impl ProfileCache {
     /// the cache, and how long a miss spent building the profiles
     /// (`build_ns`, 0 on a hit). The core layer turns these into cache
     /// hit/miss counters and a `filter.profile_build` span.
-    pub fn profiles_traced(&self, g: &Graph, r: u32) -> (Arc<Vec<Profile>>, bool, u64) {
+    pub fn profiles_traced(&self, g: &Graph, r: u32) -> (Arc<ProfileTable>, bool, u64) {
         let fp = g.content_fingerprint();
         if let Some(hit) = self.lookup(fp, r) {
             return (hit, true, 0);
@@ -114,7 +114,7 @@ impl ProfileCache {
         (self.insert_or_share(fp, r, computed), false, build_ns)
     }
 
-    fn insert_or_share(&self, fp: u64, r: u32, computed: Arc<Vec<Profile>>) -> Arc<Vec<Profile>> {
+    fn insert_or_share(&self, fp: u64, r: u32, computed: Arc<ProfileTable>) -> Arc<ProfileTable> {
         let mut entries = self.entries.write();
         // Another thread may have inserted while we computed; keep the
         // existing entry so all readers share one allocation.
@@ -183,7 +183,7 @@ impl ProfileCache {
     /// snapshot/restore. Routes through the normal insert path: an entry
     /// already present is shared rather than replaced, and the capacity
     /// bound evicts the least-recently-used entry as usual.
-    pub fn import(&self, fingerprint: u64, radius: u32, profiles: Arc<Vec<Profile>>) {
+    pub fn import(&self, fingerprint: u64, radius: u32, profiles: Arc<ProfileTable>) {
         let _ = self.insert_or_share(fingerprint, radius, profiles);
     }
 
@@ -199,7 +199,7 @@ impl ProfileCache {
         self.lookup(g.content_fingerprint(), r).is_some()
     }
 
-    fn lookup(&self, fp: u64, r: u32) -> Option<Arc<Vec<Profile>>> {
+    fn lookup(&self, fp: u64, r: u32) -> Option<Arc<ProfileTable>> {
         self.entries
             .read()
             .iter()

@@ -5,7 +5,7 @@
 //! under-approximate. Local pruning admits `v` into `CS(u)` iff
 //! `f_l(v) = f_l(u)`, `d(v) ≥ d(u)`, and profile(u) ⊑ profile(v).
 
-use crate::profile::{all_profiles, subsumes};
+use crate::profile::{all_profiles, subsumes, ProfileTable};
 use neursc_graph::types::VertexId;
 use neursc_graph::Graph;
 
@@ -58,7 +58,17 @@ impl CandidateSets {
     /// NeurSC's early-termination test (paper §4): estimation can stop when
     /// some `CS(u)` is empty or `|∪ CS(u)| < |V(q)|`.
     pub fn is_trivially_zero(&self) -> bool {
-        self.any_empty() || self.union().len() < self.sets.len()
+        self.nontrivial_union().is_none()
+    }
+
+    /// `CS(q)` unless the query [is trivially zero](Self::is_trivially_zero)
+    /// — for callers that go on to use the union, so it is built once.
+    pub fn nontrivial_union(&self) -> Option<Vec<VertexId>> {
+        if self.any_empty() {
+            return None;
+        }
+        let union = self.union();
+        (union.len() >= self.sets.len()).then_some(union)
     }
 }
 
@@ -78,7 +88,7 @@ pub fn local_pruning_with(
     q: &Graph,
     g: &Graph,
     r: u32,
-    g_profiles: &[crate::profile::Profile],
+    g_profiles: &ProfileTable,
 ) -> CandidateSets {
     let mut meter = crate::budget::FilterBudget::UNBOUNDED.meter();
     match local_pruning_metered(q, g, r, g_profiles, &mut meter) {
@@ -94,42 +104,10 @@ pub fn local_pruning_metered(
     q: &Graph,
     g: &Graph,
     r: u32,
-    g_profiles: &[crate::profile::Profile],
+    g_profiles: &ProfileTable,
     meter: &mut crate::budget::WorkMeter,
 ) -> Result<CandidateSets, crate::budget::FilterError> {
-    use crate::budget::{FilterError, FilterPhase};
-    debug_assert_eq!(g_profiles.len(), g.n_vertices());
-    let q_profiles = all_profiles(q, r);
-
-    // Partition data vertices by label once.
-    let n_labels = g.n_labels().max(q.n_labels());
-    let mut by_label: Vec<Vec<VertexId>> = vec![Vec::new(); n_labels];
-    for v in g.vertices() {
-        by_label[g.label(v) as usize].push(v);
-    }
-
-    let mut sets = Vec::with_capacity(q.n_vertices());
-    for u in q.vertices() {
-        let lu = q.label(u) as usize;
-        if lu >= by_label.len() {
-            sets.push(Vec::new());
-            continue;
-        }
-        let mut set = Vec::new();
-        for &v in &by_label[lu] {
-            meter.charge(1).map_err(|_| FilterError::BudgetExhausted {
-                phase: FilterPhase::LocalPruning,
-                spent: meter.spent(),
-            })?;
-            if g.degree(v) >= q.degree(u)
-                && subsumes(&g_profiles[v as usize], &q_profiles[u as usize])
-            {
-                set.push(v);
-            }
-        }
-        sets.push(set);
-    }
-    Ok(CandidateSets { sets })
+    prune(q, g, r, g_profiles, |_| true, meter)
 }
 
 /// [`local_pruning_with`] restricted to the data vertices accepted by
@@ -143,11 +121,32 @@ pub fn local_pruning_scoped(
     q: &Graph,
     g: &Graph,
     r: u32,
-    g_profiles: &[crate::profile::Profile],
+    g_profiles: &ProfileTable,
     keep: &dyn Fn(VertexId) -> bool,
 ) -> CandidateSets {
+    let mut meter = crate::budget::FilterBudget::UNBOUNDED.meter();
+    match prune(q, g, r, g_profiles, keep, &mut meter) {
+        Ok(cs) => cs,
+        Err(_) => unreachable!("unbounded meter cannot trip"),
+    }
+}
+
+/// The one local-pruning pass: label partition of the kept data vertices,
+/// then per query vertex a degree test and a profile subsumption test on
+/// each same-label data vertex, one metered step per pair.
+fn prune(
+    q: &Graph,
+    g: &Graph,
+    r: u32,
+    g_profiles: &ProfileTable,
+    keep: impl Fn(VertexId) -> bool,
+    meter: &mut crate::budget::WorkMeter,
+) -> Result<CandidateSets, crate::budget::FilterError> {
+    use crate::budget::{FilterError, FilterPhase};
     debug_assert_eq!(g_profiles.len(), g.n_vertices());
     let q_profiles = all_profiles(q, r);
+
+    // Partition data vertices by label once.
     let n_labels = g.n_labels().max(q.n_labels());
     let mut by_label: Vec<Vec<VertexId>> = vec![Vec::new(); n_labels];
     for v in g.vertices() {
@@ -155,24 +154,23 @@ pub fn local_pruning_scoped(
             by_label[g.label(v) as usize].push(v);
         }
     }
+
     let mut sets = Vec::with_capacity(q.n_vertices());
     for u in q.vertices() {
-        let lu = q.label(u) as usize;
-        if lu >= by_label.len() {
-            sets.push(Vec::new());
-            continue;
-        }
+        let (du, pu) = (q.degree(u), &q_profiles[u as usize]);
         let mut set = Vec::new();
-        for &v in &by_label[lu] {
-            if g.degree(v) >= q.degree(u)
-                && subsumes(&g_profiles[v as usize], &q_profiles[u as usize])
-            {
+        for &v in &by_label[q.label(u) as usize] {
+            meter.charge(1).map_err(|_| FilterError::BudgetExhausted {
+                phase: FilterPhase::LocalPruning,
+                spent: meter.spent(),
+            })?;
+            if g.degree(v) >= du && subsumes(&g_profiles[v as usize], pu) {
                 set.push(v);
             }
         }
         sets.push(set);
     }
-    CandidateSets { sets }
+    Ok(CandidateSets { sets })
 }
 
 #[cfg(test)]

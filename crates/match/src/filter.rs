@@ -5,6 +5,7 @@
 
 use crate::budget::{FilterBudget, FilterError};
 use crate::candidates::{local_pruning_metered, local_pruning_with, CandidateSets};
+use crate::profile::ProfileTable;
 use crate::refinement::{global_refinement, global_refinement_metered};
 use neursc_graph::Graph;
 
@@ -43,7 +44,7 @@ pub fn filter_candidates_with(
     q: &Graph,
     g: &Graph,
     cfg: &FilterConfig,
-    g_profiles: &[crate::profile::Profile],
+    g_profiles: &ProfileTable,
 ) -> CandidateSets {
     filter_candidates_timed(q, g, cfg, g_profiles).0
 }
@@ -73,7 +74,7 @@ pub fn filter_candidates_timed(
     q: &Graph,
     g: &Graph,
     cfg: &FilterConfig,
-    g_profiles: &[crate::profile::Profile],
+    g_profiles: &ProfileTable,
 ) -> (CandidateSets, StageBreakdown) {
     let t0 = std::time::Instant::now();
     let mut cs = local_pruning_with(q, g, cfg.profile_radius, g_profiles);
@@ -117,7 +118,7 @@ pub fn filter_candidates_budgeted(
     q: &Graph,
     g: &Graph,
     cfg: &FilterConfig,
-    g_profiles: &[crate::profile::Profile],
+    g_profiles: &ProfileTable,
     budget: &FilterBudget,
 ) -> Result<FilterOutput, FilterError> {
     filter_candidates_budgeted_profiled(q, g, cfg, g_profiles, budget).map(|(out, _)| out)
@@ -129,7 +130,7 @@ pub fn filter_candidates_budgeted_profiled(
     q: &Graph,
     g: &Graph,
     cfg: &FilterConfig,
-    g_profiles: &[crate::profile::Profile],
+    g_profiles: &ProfileTable,
     budget: &FilterBudget,
 ) -> Result<(FilterOutput, StageBreakdown), FilterError> {
     let mut meter = budget.meter();

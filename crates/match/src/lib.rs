@@ -1,9 +1,10 @@
 //! Exact subgraph-matching substrate for the NeurSC reproduction.
 //!
-//! NeurSC needs three things from classical subgraph-matching machinery:
+//! NeurSC needs two things from classical subgraph-matching machinery:
 //!
 //! 1. **Candidate filtering** (paper §4(1)) — the GraphQL-style pipeline of
-//!    local pruning by r-hop label [`profile`]s followed by global
+//!    local pruning by r-hop label [`profile`]s (one run-length
+//!    [`profile::ProfileTable`] per data graph) followed by global
 //!    [`refinement`] that demands a semi-perfect matching between query- and
 //!    data-vertex neighborhoods. Exposed via [`filter::filter_candidates`]
 //!    producing [`candidates::CandidateSets`] (the `CS(u)` of Definition 2).
@@ -12,10 +13,7 @@
 //!    standing in for the paper's 30-minute GraphQL cutoff, plus a
 //!    homomorphism-counting variant ([`homomorphism`]) since the paper notes
 //!    NeurSC handles that semantics too.
-//! 3. **Bipartite matching** ([`bipartite`], Hopcroft–Karp) — the engine
-//!    behind semi-perfect matching checks.
 
-pub mod bipartite;
 pub mod budget;
 pub mod cache;
 pub mod candidates;
@@ -35,3 +33,4 @@ pub use filter::{
     filter_candidates, filter_candidates_budgeted, filter_candidates_budgeted_profiled,
     filter_candidates_timed, filter_candidates_with, FilterConfig, FilterOutput, StageBreakdown,
 };
+pub use profile::ProfileTable;

@@ -22,7 +22,7 @@
 //!   graph_fingerprint u64 · model_checksum u64 · created_unix_ms u64
 //!   profile section: capacity u64 (0 = unbounded) · evicted u64 ·
 //!     n u32 · n × (fingerprint u64 · radius u32 · n_vertices u32 ·
-//!                  per vertex: len u32 · len × label u32)
+//!                  per vertex: len u32 · len × label u32, ascending)
 //!   feature section: capacity u64 · evicted u64 ·
 //!     n u32 · n × (fingerprint u64 · degree_bits u32 · label_bits u32 ·
 //!                  k_hops u32 · rows u32 · cols u32 · rows·cols × f32)
@@ -44,8 +44,7 @@
 //! under.
 
 use neursc_gnn::{FeatureCache, FeatureConfig};
-use neursc_match::profile::Profile;
-use neursc_match::ProfileCache;
+use neursc_match::{ProfileCache, ProfileTable};
 use neursc_nn::Tensor;
 use std::fmt;
 use std::io::Write as _;
@@ -161,7 +160,7 @@ pub struct Snapshot {
     /// Lifetime profile-cache evictions at snapshot time.
     pub profile_evicted: u64,
     /// Profile-cache entries, least recently used first.
-    pub profile_entries: Vec<(u64, u32, Arc<Vec<Profile>>)>,
+    pub profile_entries: Vec<(u64, u32, Arc<ProfileTable>)>,
     /// Feature-cache capacity bound at snapshot time (`None` = unbounded).
     pub feature_capacity: Option<usize>,
     /// Lifetime feature-cache evictions at snapshot time.
@@ -253,9 +252,11 @@ pub fn encode(
         put_u64(&mut body, e.fingerprint);
         put_u32(&mut body, e.radius);
         put_u32(&mut body, e.profiles.len() as u32);
-        for p in e.profiles.iter() {
-            put_u32(&mut body, p.len() as u32);
-            for &label in p {
+        // v1 stores each profile as its sorted label list: expand the runs.
+        for v in 0..e.profiles.len() {
+            let len: u32 = e.profiles[v].iter().map(|r| r.count).sum();
+            put_u32(&mut body, len);
+            for label in e.profiles.labels(v) {
                 put_u32(&mut body, label);
             }
         }
@@ -396,16 +397,23 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         let fp = c.u64()?;
         let radius = c.u32()?;
         let n_vertices = c.len(4)?;
-        let mut per_vertex = Vec::with_capacity(n_vertices);
+        let mut table = ProfileTable::with_capacity(n_vertices);
+        let mut labels = Vec::new();
         for _ in 0..n_vertices {
             let len = c.len(4)?;
-            let mut labels = Vec::with_capacity(len);
+            labels.clear();
             for _ in 0..len {
                 labels.push(c.u32()?);
             }
-            per_vertex.push(labels);
+            // A profile list out of order would make subsumption tests
+            // wrong, not just slow: reject it like any other corruption.
+            table
+                .push_sorted_labels(labels.iter().copied())
+                .map_err(|e| SnapshotError::Corrupt {
+                    detail: format!("profile entry {fp:016x} (radius {radius}): {e}"),
+                })?;
         }
-        profile_entries.push((fp, radius, Arc::new(per_vertex)));
+        profile_entries.push((fp, radius, Arc::new(table)));
     }
 
     let feature_capacity = cap_of(c.u64()?);

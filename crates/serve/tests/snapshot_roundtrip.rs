@@ -2,15 +2,25 @@
 //! encode → decode → install → re-encode is the identity (including LRU
 //! order, capacity bounds and lifetime eviction counters), and every
 //! corruption — truncation at any byte, any single bit flip, a snapshot
-//! from a different graph or model — yields a *typed* cold-fallback
-//! reason, never a wrong restore and never a panic.
+//! from a different graph or model, a profile list out of order — yields
+//! a *typed* cold-fallback reason, never a wrong restore and never a
+//! panic. Profiles are run-length in memory, but the v1 profile section is
+//! still the per-vertex sorted label listing, byte for byte.
 
+use neursc_core::persist::model_checksum;
+use neursc_core::{GraphContext, NeurSc, NeurScConfig, Recorder};
 use neursc_gnn::{FeatureCache, FeatureConfig};
-use neursc_match::ProfileCache;
+use neursc_graph::generate::erdos_renyi;
+use neursc_graph::sample::{sample_query, QuerySampler};
+use neursc_graph::traversal::khop_ball;
+use neursc_graph::Graph;
+use neursc_match::{ProfileCache, ProfileTable};
 use neursc_nn::Tensor;
-use neursc_serve::snapshot;
+use neursc_serve::json::{self, Json};
+use neursc_serve::{client, serve, snapshot, ServeConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 /// One feature-cache entry: config fields, rows, cols, cell bits.
@@ -31,7 +41,12 @@ struct World {
 }
 
 fn arb_world() -> impl Strategy<Value = World> {
-    let profile_entry = (0u32..4, vec(vec(any::<u32>(), 0..6), 0..5));
+    // Profiles are ascending label lists (the only kind a table holds).
+    let sorted_labels = vec(any::<u32>(), 0..6).prop_map(|mut l| {
+        l.sort_unstable();
+        l
+    });
+    let profile_entry = (0u32..4, vec(sorted_labels, 0..5));
     let feature_entry = (0usize..6, 0usize..6, 0u32..4, 1usize..5, 1usize..5).prop_flat_map(
         |(db, lb, kh, rows, cols)| {
             (
@@ -95,7 +110,8 @@ fn build(w: &World) -> (ProfileCache, FeatureCache) {
     let profiles = profile_cache(w.profile_cap);
     profiles.restore_evicted_total(w.profile_evicted);
     for (i, (radius, per_vertex)) in w.profiles.iter().enumerate() {
-        profiles.import(fp_for(w.graph_fp, i), *radius, Arc::new(per_vertex.clone()));
+        let table = ProfileTable::from_sorted_lists(per_vertex).unwrap();
+        profiles.import(fp_for(w.graph_fp, i), *radius, Arc::new(table));
     }
     let features = feature_cache(w.feature_cap);
     features.restore_evicted_total(w.feature_evicted);
@@ -228,4 +244,150 @@ proptest! {
         };
         prop_assert_eq!(e.outcome(), "cold_mismatch", "{}", e);
     }
+}
+
+/// FNV-1a 64, the snapshot checksum, restated so v1 files can be built by
+/// hand here.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The sorted labels of `v`'s r-ball — the v1 per-vertex profile listing,
+/// computed without the run-length table.
+fn sorted_ball_labels(g: &Graph, v: u32, r: u32) -> Vec<u32> {
+    let mut l: Vec<u32> = khop_ball(g, v, r).into_iter().map(|u| g.label(u)).collect();
+    l.sort_unstable();
+    l
+}
+
+/// A v1 profile section: unbounded, no evictions, the given entries.
+fn v1_profile_section(entries: &[(u64, u32, Vec<Vec<u32>>)]) -> Vec<u8> {
+    let mut b = Vec::new();
+    b.extend_from_slice(&0u64.to_le_bytes());
+    b.extend_from_slice(&0u64.to_le_bytes());
+    b.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for (fp, radius, lists) in entries {
+        b.extend_from_slice(&fp.to_le_bytes());
+        b.extend_from_slice(&radius.to_le_bytes());
+        b.extend_from_slice(&(lists.len() as u32).to_le_bytes());
+        for l in lists {
+            b.extend_from_slice(&(l.len() as u32).to_le_bytes());
+            for &label in l {
+                b.extend_from_slice(&label.to_le_bytes());
+            }
+        }
+    }
+    b
+}
+
+/// A whole v1 snapshot file around `profile_section`, with an empty,
+/// unbounded feature section and a valid checksum.
+fn v1_snapshot(graph_fp: u64, model_sum: u64, profile_section: &[u8]) -> Vec<u8> {
+    let mut body = Vec::new();
+    body.extend_from_slice(&graph_fp.to_le_bytes());
+    body.extend_from_slice(&model_sum.to_le_bytes());
+    body.extend_from_slice(&0u64.to_le_bytes());
+    body.extend_from_slice(profile_section);
+    body.extend_from_slice(&[0u8; 20]); // feature section: 0, 0, n = 0
+    let mut out = b"NSCSNAP\n".to_vec();
+    out.extend_from_slice(&1u32.to_le_bytes());
+    out.extend_from_slice(&fnv1a64(&body).to_le_bytes());
+    out.extend_from_slice(&body);
+    out
+}
+
+/// Run-length profiles in memory do not change the file: the profile
+/// section of a fresh encode is byte-equal to the hand-built v1 listing of
+/// every vertex's sorted r-ball labels.
+#[test]
+fn profile_section_is_the_v1_sorted_label_listing() {
+    let g = erdos_renyi(60, 150, 4, 11);
+    let fp = g.content_fingerprint();
+    let profiles = ProfileCache::new();
+    let _ = profiles.profiles(&g, 1);
+    let _ = profiles.profiles(&g, 3);
+    let bytes = snapshot::encode(&profiles, &FeatureCache::new(), fp, 5, 0);
+
+    let listing = |r: u32| {
+        (
+            fp,
+            r,
+            g.vertices().map(|v| sorted_ball_labels(&g, v, r)).collect(),
+        )
+    };
+    let expected = v1_profile_section(&[listing(1), listing(3)]);
+    // Header 20 B, then three u64 identity fields; the empty feature
+    // section closes the file with 20 B.
+    let section = &bytes[20 + 24..bytes.len() - 20];
+    assert!(
+        section == expected.as_slice(),
+        "profile section differs from v1 listing"
+    );
+    assert_eq!(bytes, v1_snapshot(fp, 5, &expected));
+}
+
+/// A checksum-valid snapshot whose profile list is out of order is typed
+/// corruption: the daemon counts `cold_corrupt`, rebuilds its profiles, and
+/// serves exactly the offline estimates — never ones filtered through the
+/// bad list.
+#[test]
+fn unsorted_profile_is_corrupt_and_the_daemon_restores_cold() {
+    let g = erdos_renyi(120, 360, 3, 5);
+    let cfg = NeurScConfig::small();
+    let r = cfg.filter.profile_radius;
+    let mut lists: Vec<Vec<u32>> = g.vertices().map(|v| sorted_ball_labels(&g, v, r)).collect();
+    let v = lists
+        .iter()
+        .position(|l| l.first() != l.last())
+        .expect("some profile has two distinct labels");
+    lists[v].reverse();
+    let model_sum = model_checksum(&NeurSc::new(cfg.clone(), 42));
+    let bytes = v1_snapshot(
+        g.content_fingerprint(),
+        model_sum,
+        &v1_profile_section(&[(g.content_fingerprint(), r, lists)]),
+    );
+    let e = snapshot::decode(&bytes).expect_err("unsorted profile accepted");
+    assert!(matches!(e, snapshot::SnapshotError::Corrupt { .. }), "{e}");
+    assert_eq!(e.outcome(), "cold_corrupt");
+
+    let dir = std::env::temp_dir().join(format!("neursc_unsorted_snap_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("warm.snap");
+    std::fs::write(&path, &bytes).unwrap();
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let queries: Vec<Graph> = (0..6)
+        .map(|_| sample_query(&g, &QuerySampler::induced(4), &mut rng).unwrap())
+        .collect();
+    let offline = NeurSc::new(cfg.clone(), 42).estimate_batch(&queries, &g, &GraphContext::new());
+
+    let recorder = Arc::new(Recorder::new());
+    let serve_cfg = ServeConfig {
+        snapshot_path: Some(path),
+        ..ServeConfig::default()
+    };
+    let server = serve(NeurSc::new(cfg, 42), g.clone(), serve_cfg, recorder.clone()).unwrap();
+    let mut c = client::Client::connect_tcp(server.local_addr()).unwrap();
+    for (i, (q, off)) in queries.iter().zip(&offline).enumerate() {
+        let reply =
+            json::parse(&c.request(&client::estimate_request(i as u64, q)).unwrap()).unwrap();
+        let est = reply
+            .get("estimate")
+            .and_then(Json::as_f64)
+            .expect("estimate");
+        let want = off.as_ref().expect("offline estimate").count;
+        assert_eq!(est.to_bits(), want.to_bits(), "query {i}: {est} vs {want}");
+    }
+    server.shutdown();
+    server.join().unwrap();
+    let m = recorder.metrics().snapshot();
+    assert_eq!(m.counter("snapshot.restore_outcome.cold_corrupt"), 1);
+    assert_eq!(m.counter("snapshot.restore_outcome.warm"), 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use neursc_graph::types::{Label, VertexId};
 use neursc_graph::{Graph, GraphError};
 use neursc_match::candidates::{local_pruning_scoped, CandidateSets};
-use neursc_match::profile::{all_profiles, profile_r1_into, subsumes, Profile};
+use neursc_match::profile::{all_profiles, profile_r1_into, subsumes, ProfileRow};
 
 use crate::error::StoreError;
 use crate::format::{self, Layout, HEADER_LEN};
@@ -602,7 +602,7 @@ impl GraphStore {
         }
         let mut sets: Vec<Vec<VertexId>> = vec![Vec::new(); q.n_vertices()];
         let mut row: Vec<VertexId> = Vec::new();
-        let mut prof: Profile = Vec::new();
+        let mut prof = ProfileRow::default();
         for v in core {
             let lv = self.label(v);
             let Some(us) = q_by_label.get(lv as usize).filter(|us| !us.is_empty()) else {
@@ -613,7 +613,7 @@ impl GraphStore {
             let dv = row.len();
             profile_r1_into(lv, row.iter().map(|&w| self.label(w)), &mut prof);
             for &u in us {
-                if dv >= q.degree(u) && subsumes(&prof, &q_profiles[u as usize]) {
+                if dv >= q.degree(u) && subsumes(prof.runs(), &q_profiles[u as usize]) {
                     sets[u as usize].push(v);
                 }
             }

@@ -63,6 +63,11 @@ echo "== out-of-core store bench (streamed peak RSS < 50% of resident) =="
 # estimates are bit-identical (DESIGN.md §14).
 cargo run --release -q -p neursc-bench --bin bench_store
 
+echo "== perfbench builds and passes against the library (own workspace) =="
+# perfbench links the library crates by path and calls the filtering API
+# directly, so a signature change there must fail CI, not the benchmark.
+CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== differential soundness oracle soak (DESIGN.md §11) =="
 # Fixed seed: deterministic in CI; the corpus replay test (tests/
 # corpus_replay.rs, part of the workspace test run above) covers the
