@@ -8,7 +8,9 @@
 //! [`GraphStore`] ([`GraphStore::local_pruning_core`]), and everything
 //! downstream — global refinement, extraction, the backend's estimator —
 //! runs once on the *working set*: the candidate union plus its one-hop
-//! halo, which after filtering is usually a small fraction of `G`.
+//! halo, which after filtering is usually a small fraction of `G`. The
+//! working set is built from the candidate rows pruning already read
+//! ([`GraphStore::working_set`]), so a query reads the adjacency once.
 //!
 //! ## Exactness
 //!
@@ -52,7 +54,7 @@ use neursc_graph::types::VertexId;
 use neursc_graph::Graph;
 use neursc_match::refinement::global_refinement_metered;
 use neursc_match::{CandidateSets, FilterBudget, FilterConfig, FilterError, FilterPhase};
-use neursc_store::{GraphStore, PartitionPlan};
+use neursc_store::{GraphStore, KeptRows, PartitionPlan};
 
 /// A backend that can estimate from pre-filtered candidate sets — the hook
 /// partitioned estimation needs beyond [`Estimator`]. The driver owns
@@ -166,8 +168,9 @@ fn component(
         .into());
     }
 
-    // Fan cores out; each returns ascending global candidate ids. Panics
-    // are contained per partition; `FaultPlan::trip_panic` arms them.
+    // Fan cores out; each returns ascending global candidate ids and the
+    // rows of its candidates. Panics are contained per partition;
+    // `FaultPlan::trip_panic` arms them.
     let parts = parallel_map_caught(plan.n_partitions(), threads, |p| {
         obs::scope(&ctx.obs, obs::lane::part(p), || {
             let _sp = Span::enter("partition.prune");
@@ -176,28 +179,29 @@ fn component(
         })
     });
     // Concatenating in partition order over ascending contiguous cores
-    // reproduces the monolithic ascending candidate order exactly.
+    // reproduces the monolithic ascending candidate order exactly, and the
+    // kept rows in ascending vertex order: their vertices are the union.
     let mut sets: Vec<Vec<VertexId>> = vec![Vec::new(); q.n_vertices()];
+    let mut rows = KeptRows::default();
     for slot in parts {
         let part = slot.map_err(|p| NeurScError::Panicked {
             item: p.index,
             message: p.message,
         })??;
-        for (u, s) in part.into_iter().enumerate() {
+        for (u, s) in part.sets.into_iter().enumerate() {
             sets[u].extend(s);
         }
+        rows.append(part.rows);
     }
     let local_prune_ns = t0.elapsed().as_nanos() as u64;
-    let cs = CandidateSets { sets };
 
-    // Materialize the working set (union + one-hop halo) and refine once,
-    // globally — refinement only reads candidate rows, which the working
-    // set preserves verbatim.
+    // Build the working set (union + one-hop halo) from the kept rows and
+    // refine once, globally — refinement only reads candidate rows, which
+    // the working set preserves verbatim. `localize` checks that the
+    // candidates are exactly the vertices whose rows built it.
     let t1 = Instant::now();
-    let mut union = Vec::new();
-    cs.union_into(&mut union);
-    let ws = store.induced_working_set(&union)?;
-    let mut local_cs = ws.localize(&cs.sets)?;
+    let ws = store.working_set(rows)?;
+    let mut local_cs = ws.localize(&sets)?;
     let mut degraded = false;
     if !local_cs.any_empty() {
         let (_, exhausted) = global_refinement_metered(

@@ -196,6 +196,13 @@ pub(crate) fn decode_u32s(bytes: &[u8]) -> Vec<u32> {
     bytes.chunks_exact(4).map(le_u32).collect()
 }
 
+/// [`decode_u32s`] into a caller-owned vector, replacing its contents and
+/// keeping its allocation.
+pub(crate) fn decode_u32s_into(bytes: &[u8], out: &mut Vec<u32>) {
+    out.clear();
+    out.extend(bytes.chunks_exact(4).map(le_u32));
+}
+
 /// Decodes a little-endian `u64` array section.
 pub(crate) fn decode_u64s(bytes: &[u8]) -> Vec<u64> {
     bytes.chunks_exact(8).map(le_u64).collect()

@@ -22,8 +22,11 @@ pub mod error;
 pub mod format;
 pub mod partition;
 pub mod store;
+mod validate;
 
 pub use error::StoreError;
 pub use format::{encode_graph, pack_graph};
 pub use partition::PartitionPlan;
-pub use store::{AccessMode, CacheStats, GraphStore, PartitionView, WorkingSet};
+pub use store::{
+    AccessMode, CacheStats, CorePruning, GraphStore, KeptRows, PartitionView, WorkingSet,
+};

@@ -7,16 +7,21 @@
 //! or streamed: row-aligned edge chunks are loaded on demand behind a small
 //! LRU of `Arc`-pinned buffers, so a partitioned estimation pass over a
 //! graph much larger than memory touches only the rows of its current core
-//! plus a bounded cache.
+//! plus a bounded cache. Local pruning hands on the rows of the vertices
+//! it kept ([`KeptRows`]), and the query's working set is built from those
+//! ([`GraphStore::working_set`]), so a partitioned estimate reads the
+//! adjacency once.
 //!
 //! Integrity: [`GraphStore::open`] verifies magic, version, the length
 //! equation and the full-image FNV-1a-64 checksum **before** any adjacency
 //! is handed out — a truncated or bit-flipped store fails with
-//! [`StoreError::Corrupt`] at open, never mid-query. Streamed chunks are
-//! additionally structure-checked (sorted strict rows, in-range ids, no
-//! self-loops) as they load, guarding against a crafted image with a valid
-//! checksum. Cross-row symmetry is only enforced when a full [`Graph`] is
-//! materialized via [`GraphStore::to_graph`].
+//! [`StoreError::Corrupt`] at open, never mid-query. The adjacency is
+//! structure-checked too (sorted strict rows, in-range ids, no self-loops):
+//! whole at a resident open, and chunk by chunk on **every** streamed chunk
+//! load, which guards against a crafted image with a valid checksum and
+//! against a file changed after open. Cross-row symmetry is only enforced
+//! when a [`Graph`] is materialized (a working set, a partition view,
+//! [`GraphStore::to_graph`]).
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -31,6 +36,7 @@ use neursc_match::profile::{all_profiles, profile_r1_into, subsumes, ProfileRow}
 
 use crate::error::StoreError;
 use crate::format::{self, Layout, HEADER_LEN};
+use crate::validate::validate_rows;
 
 /// How the adjacency section is held.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,11 +75,15 @@ enum ChunkSource {
 
 /// LRU state for streamed chunks. `entries` is tiny (≤ `max_chunks`), so
 /// linear scans beat any map.
+#[derive(Default)]
 struct CacheState {
     entries: Vec<(usize, Arc<Vec<VertexId>>, u64)>,
     tick: u64,
     hits: u64,
     misses: u64,
+    /// The byte buffer every file read on a miss goes through; it only
+    /// grows, to the largest chunk read so far.
+    bytes: Vec<u8>,
 }
 
 struct StreamedAdjacency {
@@ -117,6 +127,64 @@ impl PartitionView {
     }
 }
 
+/// Adjacency rows of a set of vertices, in global ids, as one flat CSR in
+/// ascending vertex order: what local pruning read for the vertices it
+/// kept, handed on so the working set needs no second read of the store.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeptRows {
+    vertices: Vec<VertexId>,
+    /// `vertices.len() + 1` offsets into `neighbors`.
+    offsets: Vec<usize>,
+    neighbors: Vec<VertexId>,
+}
+
+impl Default for KeptRows {
+    fn default() -> Self {
+        KeptRows {
+            vertices: Vec::new(),
+            offsets: vec![0],
+            neighbors: Vec::new(),
+        }
+    }
+}
+
+impl KeptRows {
+    /// Appends the rows of `other`, whose vertices must all be larger than
+    /// these — the rows of the next core, in partition order.
+    pub fn append(&mut self, other: KeptRows) {
+        debug_assert!(match (self.vertices.last(), other.vertices.first()) {
+            (Some(a), Some(b)) => a < b,
+            _ => true,
+        });
+        let shift = self.neighbors.len();
+        self.vertices.extend_from_slice(&other.vertices);
+        self.offsets
+            .extend(other.offsets[1..].iter().map(|&o| o + shift));
+        self.neighbors.extend_from_slice(&other.neighbors);
+    }
+
+    /// Keeps the row just appended to `neighbors` as the row of `v`.
+    fn keep(&mut self, v: VertexId) {
+        self.vertices.push(v);
+        self.offsets.push(self.neighbors.len());
+    }
+
+    /// Drops whatever was appended to `neighbors` since the last kept row.
+    fn discard_tail(&mut self) {
+        let end = self.offsets[self.offsets.len() - 1];
+        self.neighbors.truncate(end);
+    }
+}
+
+/// What local pruning of one core returns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CorePruning {
+    /// Per query vertex, its candidates in the core, ascending global ids.
+    pub sets: Vec<Vec<VertexId>>,
+    /// The rows of every vertex that is a candidate of some query vertex.
+    pub rows: KeptRows,
+}
+
 /// The working set of one query: the candidate union plus its one-hop halo,
 /// with edges taken from union rows only (halo–halo edges are omitted —
 /// downstream refinement, extraction and sampling never inspect them, and
@@ -126,32 +194,42 @@ pub struct WorkingSet {
     pub graph: Graph,
     /// `origin[local] = global`, sorted ascending.
     pub origin: Vec<VertexId>,
+    /// The union: the vertices whose rows built the set, ascending.
+    union: Vec<VertexId>,
 }
 
 impl WorkingSet {
-    /// Local id of a global vertex. Panics only if `global` is outside the
-    /// working set, which for candidate localization cannot happen (every
-    /// candidate is in the union by construction).
+    /// Local id of a global vertex, or `None` if it is outside the working
+    /// set.
     pub fn local_of(&self, global: VertexId) -> Option<usize> {
         self.origin.binary_search(&global).ok()
     }
 
     /// Maps global candidate sets into working-set-local ids, preserving
-    /// order (the mapping is monotone because `origin` is sorted).
+    /// order (the mapping is monotone because `origin` is sorted). The
+    /// candidates must be exactly the union the set was built from: every
+    /// candidate has its row here, and every row belongs to a candidate.
     pub fn localize(&self, sets: &[Vec<VertexId>]) -> Result<CandidateSets, StoreError> {
+        let mismatch = |detail: String| StoreError::corrupt(None, detail);
+        let mut seen = vec![false; self.union.len()];
         let mut local = Vec::with_capacity(sets.len());
         for set in sets {
             let mut s = Vec::with_capacity(set.len());
             for &v in set {
-                let l = self.local_of(v).ok_or_else(|| {
-                    StoreError::corrupt(
-                        None,
-                        format!("candidate {v} missing from its own working set"),
-                    )
+                let k = self.union.binary_search(&v).map_err(|_| {
+                    mismatch(format!("candidate {v} has no row in its working set"))
                 })?;
-                s.push(l as VertexId);
+                seen[k] = true;
+                // The union is a subset of `origin`.
+                s.push(self.origin.partition_point(|&x| x < v) as VertexId);
             }
             local.push(s);
+        }
+        if let Some(k) = seen.iter().position(|&hit| !hit) {
+            return Err(mismatch(format!(
+                "working-set row of vertex {} belongs to no candidate set",
+                self.union[k]
+            )));
         }
         Ok(CandidateSets { sets: local })
     }
@@ -279,7 +357,7 @@ impl GraphStore {
             &neighbors,
             &store.offsets,
             0,
-            store.labels.len(),
+            store.n_vertices(),
             store.path.as_deref(),
         )?;
         Ok(GraphStore {
@@ -326,12 +404,7 @@ impl GraphStore {
                 neighbors_off: lay.neighbors_off() as u64,
                 row_bounds,
                 cap,
-                cache: Mutex::new(CacheState {
-                    entries: Vec::new(),
-                    tick: 0,
-                    hits: 0,
-                    misses: 0,
-                }),
+                cache: Mutex::new(CacheState::default()),
             }),
             ..store
         })
@@ -510,42 +583,47 @@ impl GraphStore {
             return Ok((chunk, base));
         }
         cache.misses += 1;
-        let byte_lo = s.neighbors_off + 4 * base as u64;
+        // Evict first, so the evicted chunk's vector can take the new one
+        // when no reader still pins it.
+        let mut decoded = Vec::new();
+        if cache.entries.len() >= s.cap {
+            if let Some((idx, _)) = cache.entries.iter().enumerate().min_by_key(|(_, e)| e.2) {
+                let (_, old, _) = cache.entries.swap_remove(idx);
+                decoded = Arc::try_unwrap(old).unwrap_or_default();
+            }
+        }
+        let byte_lo = (s.neighbors_off + 4 * base as u64) as usize;
         let byte_len = 4 * (end - base);
-        let mut buf = vec![0u8; byte_len];
         match &s.source {
             ChunkSource::File(f) => {
+                let buf = &mut cache.bytes;
+                if buf.len() < byte_len {
+                    buf.resize(byte_len, 0);
+                }
+                let buf = &mut buf[..byte_len];
                 let mut f = lock(f);
-                f.seek(SeekFrom::Start(byte_lo))
-                    .and_then(|_| f.read_exact(&mut buf))
+                f.seek(SeekFrom::Start(byte_lo as u64))
+                    .and_then(|_| f.read_exact(buf))
                     .map_err(|e| StoreError::Io {
                         path: self.path.clone(),
                         source: e,
                     })?;
+                format::decode_u32s_into(buf, &mut decoded);
             }
             ChunkSource::Bytes(bytes) => {
-                buf.copy_from_slice(&bytes[byte_lo as usize..byte_lo as usize + byte_len]);
+                format::decode_u32s_into(&bytes[byte_lo..byte_lo + byte_len], &mut decoded);
             }
         }
-        let decoded = format::decode_u32s(&buf);
-        // Structure-check the chunk's rows before serving any of them.
-        let chunk_offsets: Vec<u64> = self.offsets[r0..=r1]
-            .iter()
-            .map(|&o| o - base as u64)
-            .collect();
+        // Structure-check the chunk's rows on every load, before serving
+        // any of them: the file may have changed since open.
         validate_rows(
             &decoded,
-            &chunk_offsets,
+            &self.offsets[r0..=r1],
             r0,
-            self.labels.len(),
+            self.n_vertices(),
             self.path.as_deref(),
         )?;
         let arc = Arc::new(decoded);
-        if cache.entries.len() >= s.cap {
-            if let Some((idx, _)) = cache.entries.iter().enumerate().min_by_key(|(_, e)| e.2) {
-                cache.entries.swap_remove(idx);
-            }
-        }
         cache.entries.push((c, Arc::clone(&arc), tick));
         Ok((arc, base))
     }
@@ -568,19 +646,20 @@ impl GraphStore {
     }
 
     /// Local pruning of query `q` restricted to core vertices
-    /// `core.start..core.end`, returning per-query-vertex **global** ids in
-    /// ascending order. Bit-identical to the corresponding slice of
-    /// whole-graph `local_pruning(q, g, r)`: for `r = 1` profiles are
-    /// rebuilt row-by-row from the shared [`profile_r1_into`] definition
-    /// (no view, no halo); for `r ≥ 2` an induced r-ball view is
-    /// materialized, on which core vertices have exactly their global
-    /// degrees and profiles.
+    /// `core.start..core.end`: per-query-vertex **global** candidate ids in
+    /// ascending order, plus the rows of every vertex kept as a candidate.
+    /// The sets are bit-identical to the corresponding slice of whole-graph
+    /// `local_pruning(q, g, r)`: for `r = 1` profiles are rebuilt row by
+    /// row from the shared [`profile_r1_into`] definition (no view, no
+    /// halo), and the rows are the ones read for them; for `r ≥ 2` an
+    /// induced r-ball view is materialized, on which core vertices have
+    /// exactly their global rows, degrees and profiles.
     pub fn local_pruning_core(
         &self,
         q: &Graph,
         core: Range<VertexId>,
         radius: u32,
-    ) -> Result<Vec<Vec<VertexId>>, StoreError> {
+    ) -> Result<CorePruning, StoreError> {
         if radius <= 1 {
             self.pruning_core_r1(q, core)
         } else {
@@ -588,11 +667,7 @@ impl GraphStore {
         }
     }
 
-    fn pruning_core_r1(
-        &self,
-        q: &Graph,
-        core: Range<VertexId>,
-    ) -> Result<Vec<Vec<VertexId>>, StoreError> {
+    fn pruning_core_r1(&self, q: &Graph, core: Range<VertexId>) -> Result<CorePruning, StoreError> {
         let q_profiles = all_profiles(q, 1);
         // Query vertices grouped by label, ascending — mirrors the
         // per-label candidate loop of `local_pruning_metered`.
@@ -601,24 +676,33 @@ impl GraphStore {
             q_by_label[q.label(u) as usize].push(u);
         }
         let mut sets: Vec<Vec<VertexId>> = vec![Vec::new(); q.n_vertices()];
-        let mut row: Vec<VertexId> = Vec::new();
+        let mut rows = KeptRows::default();
         let mut prof = ProfileRow::default();
         for v in core {
             let lv = self.label(v);
             let Some(us) = q_by_label.get(lv as usize).filter(|us| !us.is_empty()) else {
                 continue;
             };
-            row.clear();
-            self.copy_row(v, &mut row)?;
-            let dv = row.len();
+            // Read the row straight into the kept rows; drop it again if
+            // `v` is no candidate.
+            let start = rows.neighbors.len();
+            self.copy_row(v, &mut rows.neighbors)?;
+            let row = &rows.neighbors[start..];
             profile_r1_into(lv, row.iter().map(|&w| self.label(w)), &mut prof);
+            let mut kept = false;
             for &u in us {
-                if dv >= q.degree(u) && subsumes(prof.runs(), &q_profiles[u as usize]) {
+                if row.len() >= q.degree(u) && subsumes(prof.runs(), &q_profiles[u as usize]) {
                     sets[u as usize].push(v);
+                    kept = true;
                 }
             }
+            if kept {
+                rows.keep(v);
+            } else {
+                rows.discard_tail();
+            }
         }
-        Ok(sets)
+        Ok(CorePruning { sets, rows })
     }
 
     fn pruning_core_deep(
@@ -626,7 +710,7 @@ impl GraphStore {
         q: &Graph,
         core: Range<VertexId>,
         radius: u32,
-    ) -> Result<Vec<Vec<VertexId>>, StoreError> {
+    ) -> Result<CorePruning, StoreError> {
         let view = self.partition_view(core.clone(), radius)?;
         let profiles = all_profiles(&view.graph, radius);
         let core_local = |lv: VertexId| {
@@ -634,11 +718,26 @@ impl GraphStore {
             g >= core.start && g < core.end
         };
         let cs = local_pruning_scoped(q, &view.graph, radius, &profiles, &core_local);
-        Ok(cs
+        // A core vertex's whole row lies in the ball (radius ≥ 1), and the
+        // local-to-global map is monotone, so mapping a view row back gives
+        // the global row, sorted.
+        let mut kept = vec![false; view.origin.len()];
+        for &lv in cs.sets.iter().flatten() {
+            kept[lv as usize] = true;
+        }
+        let mut rows = KeptRows::default();
+        for lv in (0..view.origin.len()).filter(|&lv| kept[lv]) {
+            let row = view.graph.neighbors(lv as VertexId);
+            rows.neighbors
+                .extend(row.iter().map(|&w| view.origin[w as usize]));
+            rows.keep(view.origin[lv]);
+        }
+        let sets = cs
             .sets
             .into_iter()
             .map(|s| s.into_iter().map(|lv| view.origin[lv as usize]).collect())
-            .collect())
+            .collect();
+        Ok(CorePruning { sets, rows })
     }
 
     /// Materializes the induced subgraph on the closed `radius`-hop ball of
@@ -681,52 +780,70 @@ impl GraphStore {
         Ok(PartitionView { graph, origin })
     }
 
-    /// Builds the working set of a candidate union: vertices
-    /// `union ∪ N(union)`, edges from union rows only. `union` must be
-    /// sorted ascending and deduplicated.
-    pub fn induced_working_set(&self, union: &[VertexId]) -> Result<WorkingSet, StoreError> {
-        debug_assert!(union.windows(2).all(|w| w[0] < w[1]));
-        let mut verts: Vec<VertexId> = union.to_vec();
-        let mut row: Vec<VertexId> = Vec::new();
-        for &w in union {
-            row.clear();
-            self.copy_row(w, &mut row)?;
-            verts.extend_from_slice(&row);
+    /// Builds the working set of a candidate union from the union's rows —
+    /// the rows local pruning kept, so the store is not read again:
+    /// vertices `union ∪ N(union)`, edges from union rows only.
+    pub fn working_set(&self, rows: KeptRows) -> Result<WorkingSet, StoreError> {
+        let KeptRows {
+            vertices: union,
+            offsets: row_off,
+            neighbors: rows,
+        } = rows;
+        let mut origin = Vec::with_capacity(union.len() + rows.len());
+        origin.extend_from_slice(&union);
+        origin.extend_from_slice(&rows);
+        origin.sort_unstable();
+        origin.dedup();
+        // Every id is a union vertex or in a union row, so it is in
+        // `origin`; the map is monotone, so mapped rows stay sorted.
+        let local = |g: VertexId| origin.partition_point(|&x| x < g);
+        let rows: Vec<VertexId> = rows.iter().map(|&x| local(x) as VertexId).collect();
+        let union_local: Vec<usize> = union.iter().map(|&w| local(w)).collect();
+        let mut in_union = vec![false; origin.len()];
+        for &wl in &union_local {
+            in_union[wl] = true;
         }
-        verts.sort_unstable();
-        verts.dedup();
-        let origin = verts;
-        let local = |g: VertexId| -> usize {
-            // Every id here came from `union` or a union row, so it is in
-            // `origin` by construction.
-            origin.partition_point(|&x| x < g)
-        };
-        let in_union = |g: VertexId| union.binary_search(&g).is_ok();
-        let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); origin.len()];
-        for &w in union {
-            row.clear();
-            self.copy_row(w, &mut row)?;
-            let wl = local(w);
-            for &x in &row {
-                let xl = local(x);
-                adj[wl].push(xl as VertexId);
-                if !in_union(x) {
-                    adj[xl].push(wl as VertexId);
+        // A union vertex keeps its whole row; a halo vertex gets one entry
+        // per union row it appears in, filled in ascending union order, so
+        // its row is sorted too.
+        let mut degree = vec![0usize; origin.len()];
+        for (i, &wl) in union_local.iter().enumerate() {
+            let row = &rows[row_off[i]..row_off[i + 1]];
+            degree[wl] = row.len();
+            for &xl in row {
+                if !in_union[xl as usize] {
+                    degree[xl as usize] += 1;
                 }
             }
         }
         let mut offsets = Vec::with_capacity(origin.len() + 1);
         offsets.push(0usize);
-        let mut neighbors = Vec::new();
-        for list in &mut adj {
-            list.sort_unstable();
-            neighbors.extend_from_slice(list);
-            offsets.push(neighbors.len());
+        let mut total = 0;
+        for d in &degree {
+            total += d;
+            offsets.push(total);
+        }
+        let mut fill = offsets[..origin.len()].to_vec();
+        let mut neighbors = vec![0 as VertexId; total];
+        for (i, &wl) in union_local.iter().enumerate() {
+            let row = &rows[row_off[i]..row_off[i + 1]];
+            neighbors[fill[wl]..fill[wl] + row.len()].copy_from_slice(row);
+            fill[wl] += row.len();
+            for &xl in row {
+                if !in_union[xl as usize] {
+                    neighbors[fill[xl as usize]] = wl as VertexId;
+                    fill[xl as usize] += 1;
+                }
+            }
         }
         let labels: Vec<Label> = origin.iter().map(|&g| self.label(g)).collect();
         let graph =
             Graph::from_csr_parts(labels, offsets, neighbors).map_err(|e| self.graph_corrupt(e))?;
-        Ok(WorkingSet { graph, origin })
+        Ok(WorkingSet {
+            graph,
+            origin,
+            union,
+        })
     }
 
     /// Induced subgraph on `origin` (sorted ascending); `member` must agree
@@ -755,9 +872,6 @@ impl GraphStore {
     }
 }
 
-/// Streams bytes `[16..file_len)` of an open store file through FNV-1a-64
-/// and compares against the header's stored checksum, without retaining the
-/// adjacency in memory. Leaves the file position unspecified.
 /// Reads `count` fixed-width items from `f` through `scratch`, decoding
 /// slice by slice so peak memory is the output vector plus one scratch
 /// buffer — never a whole-section byte copy.
@@ -782,6 +896,9 @@ fn read_decoded<T>(
     Ok(out)
 }
 
+/// Streams bytes `[16..file_len)` of an open store file through FNV-1a-64
+/// and compares against the header's stored checksum, without retaining the
+/// adjacency in memory. Leaves the file position unspecified.
 fn verify_file_checksum(
     f: &mut File,
     file_len: u64,
@@ -805,46 +922,6 @@ fn verify_file_checksum(
             Some(path.to_path_buf()),
             "checksum mismatch".to_string(),
         ));
-    }
-    Ok(())
-}
-
-/// Structure-checks adjacency rows: each row sorted strictly ascending,
-/// ids in range, no self-loops. `first_row` is the global id of the row at
-/// `row_offsets[0]`; `row_offsets` are relative to `neighbors[0]`.
-fn validate_rows(
-    neighbors: &[VertexId],
-    row_offsets: &[u64],
-    first_row: usize,
-    n: usize,
-    path: Option<&Path>,
-) -> Result<(), StoreError> {
-    let corrupt = |detail: String| StoreError::corrupt(path.map(Path::to_path_buf), detail);
-    if row_offsets.last().copied().unwrap_or(0) as usize != neighbors.len() {
-        return Err(corrupt(format!(
-            "adjacency section has {} entries but offsets imply {:?}",
-            neighbors.len(),
-            row_offsets.last()
-        )));
-    }
-    for (i, w) in row_offsets.windows(2).enumerate() {
-        let v = (first_row + i) as VertexId;
-        let row = &neighbors[w[0] as usize..w[1] as usize];
-        if row.windows(2).any(|p| p[0] >= p[1]) {
-            return Err(corrupt(format!(
-                "adjacency list of vertex {v} is unsorted or has duplicates"
-            )));
-        }
-        for &u in row {
-            if (u as usize) >= n {
-                return Err(corrupt(format!(
-                    "vertex {v} lists neighbor {u}, outside 0..{n}"
-                )));
-            }
-            if u == v {
-                return Err(corrupt(format!("vertex {v} lists a self-loop")));
-            }
-        }
     }
     Ok(())
 }
@@ -948,50 +1025,67 @@ mod tests {
         assert_eq!(store.local_pruning_work(&q), expect);
     }
 
+    /// Prunes every core of a `k`-way contiguous split and concatenates
+    /// the results in core order, as partitioned estimation does.
+    fn prune_all(
+        store: &GraphStore,
+        q: &Graph,
+        k: u32,
+        radius: u32,
+    ) -> (Vec<Vec<VertexId>>, KeptRows) {
+        let n = store.n_vertices() as VertexId;
+        let step = n.div_ceil(k);
+        let mut sets: Vec<Vec<VertexId>> = vec![Vec::new(); q.n_vertices()];
+        let mut rows = KeptRows::default();
+        let mut start = 0;
+        while start < n {
+            let end = (start + step).min(n);
+            let part = store.local_pruning_core(q, start..end, radius).unwrap();
+            for (u, s) in part.sets.into_iter().enumerate() {
+                sets[u].extend(s);
+            }
+            rows.append(part.rows);
+            start = end;
+        }
+        (sets, rows)
+    }
+
+    /// Pruning's sets equal the whole-graph ones, and its rows are exactly
+    /// the union's rows, verbatim.
+    fn assert_pruning_matches(g: &Graph, store: &GraphStore, q: &Graph, k: u32, radius: u32) {
+        let whole = local_pruning(q, g, radius);
+        let (sets, rows) = prune_all(store, q, k, radius);
+        for u in q.vertices() {
+            assert_eq!(sets[u as usize], whole.get(u), "r={radius}, k={k}, u={u}");
+        }
+        assert_eq!(rows.vertices, whole.union().as_slice(), "r={radius}, k={k}");
+        for (i, &v) in rows.vertices.iter().enumerate() {
+            let row = &rows.neighbors[rows.offsets[i]..rows.offsets[i + 1]];
+            assert_eq!(row, g.neighbors(v), "r={radius}, k={k}, row {v}");
+        }
+    }
+
     #[test]
     fn core_pruning_concatenates_to_whole_graph_r1() {
         let g = random_graph(60, 150, 3, 5);
         let q = tiny_query();
-        let whole = local_pruning(&q, &g, 1);
         for mode in [AccessMode::Resident, streamed(32, 2)] {
             let store = GraphStore::open_bytes(encode_graph(&g), mode).unwrap();
             for k in [1u32, 2, 3, 7] {
-                let n = g.n_vertices() as VertexId;
-                let step = n.div_ceil(k);
-                let mut sets: Vec<Vec<VertexId>> = vec![Vec::new(); q.n_vertices()];
-                let mut start = 0;
-                while start < n {
-                    let end = (start + step).min(n);
-                    let part = store.local_pruning_core(&q, start..end, 1).unwrap();
-                    for (u, s) in part.into_iter().enumerate() {
-                        sets[u].extend(s);
-                    }
-                    start = end;
-                }
-                for u in q.vertices() {
-                    assert_eq!(sets[u as usize], whole.get(u), "k={k}, u={u}");
-                }
+                assert_pruning_matches(&g, &store, &q, k, 1);
             }
         }
     }
 
     #[test]
-    fn core_pruning_concatenates_to_whole_graph_r2() {
+    fn core_pruning_concatenates_to_whole_graph_r2_r3() {
         let g = random_graph(40, 80, 3, 6);
         let q = tiny_query();
-        let whole = local_pruning(&q, &g, 2);
         let store = GraphStore::open_bytes(encode_graph(&g), streamed(64, 3)).unwrap();
-        let n = g.n_vertices() as VertexId;
-        let mut sets: Vec<Vec<VertexId>> = vec![Vec::new(); q.n_vertices()];
-        for start in (0..n).step_by(13) {
-            let end = (start + 13).min(n);
-            let part = store.local_pruning_core(&q, start..end, 2).unwrap();
-            for (u, s) in part.into_iter().enumerate() {
-                sets[u].extend(s);
+        for radius in [2, 3] {
+            for k in [1u32, 3, 4] {
+                assert_pruning_matches(&g, &store, &q, k, radius);
             }
-        }
-        for u in q.vertices() {
-            assert_eq!(sets[u as usize], whole.get(u), "u={u}");
         }
     }
 
@@ -1008,12 +1102,28 @@ mod tests {
         }
     }
 
+    /// The rows of `union` as pruning would hand them on.
+    fn rows_of(g: &Graph, union: &[VertexId]) -> KeptRows {
+        let mut rows = KeptRows::default();
+        for &v in union {
+            rows.neighbors.extend_from_slice(g.neighbors(v));
+            rows.keep(v);
+        }
+        rows
+    }
+
     #[test]
     fn working_set_preserves_union_rows_exactly() {
         let g = random_graph(60, 150, 3, 8);
         let store = GraphStore::open_bytes(encode_graph(&g), streamed(32, 2)).unwrap();
         let union: Vec<VertexId> = (0..g.n_vertices() as VertexId).step_by(3).collect();
-        let ws = store.induced_working_set(&union).unwrap();
+        let before = store.cache_stats();
+        let ws = store.working_set(rows_of(&g, &union)).unwrap();
+        assert_eq!(
+            store.cache_stats(),
+            before,
+            "the working set read the store"
+        );
         for &v in &union {
             let lv = ws.local_of(v).unwrap() as VertexId;
             let mapped: Vec<VertexId> = ws
@@ -1024,12 +1134,22 @@ mod tests {
                 .collect();
             assert_eq!(mapped, g.neighbors(v), "union row {v} altered");
         }
-        // Halo vertices keep only their union edges.
+        // Halo vertices keep exactly their union edges.
         for (lv, &gv) in ws.origin.iter().enumerate() {
             if union.binary_search(&gv).is_err() {
-                for &w in ws.graph.neighbors(lv as VertexId) {
-                    assert!(union.binary_search(&ws.origin[w as usize]).is_ok());
-                }
+                let mapped: Vec<VertexId> = ws
+                    .graph
+                    .neighbors(lv as VertexId)
+                    .iter()
+                    .map(|&w| ws.origin[w as usize])
+                    .collect();
+                let expect: Vec<VertexId> = g
+                    .neighbors(gv)
+                    .iter()
+                    .copied()
+                    .filter(|w| union.binary_search(w).is_ok())
+                    .collect();
+                assert_eq!(mapped, expect, "halo row {gv}");
             }
         }
     }
@@ -1040,12 +1160,9 @@ mod tests {
         let store = GraphStore::open_bytes(encode_graph(&g), AccessMode::Resident).unwrap();
         let q = tiny_query();
         let whole = local_pruning(&q, &g, 1);
-        let union = whole.union();
-        if union.is_empty() {
-            return;
-        }
-        let ws = store.induced_working_set(&union).unwrap();
-        let local = ws.localize(&whole.sets).unwrap();
+        let (sets, rows) = prune_all(&store, &q, 2, 1);
+        let ws = store.working_set(rows).unwrap();
+        let local = ws.localize(&sets).unwrap();
         for u in q.vertices() {
             let back: Vec<VertexId> = local
                 .get(u)
@@ -1054,6 +1171,40 @@ mod tests {
                 .collect();
             assert_eq!(back, whole.get(u));
         }
+    }
+
+    #[test]
+    fn localize_rejects_candidates_that_are_not_the_union() {
+        let g = random_graph(30, 60, 3, 10);
+        let store = GraphStore::open_bytes(encode_graph(&g), AccessMode::Resident).unwrap();
+        let ws = store.working_set(rows_of(&g, &[2, 5, 9])).unwrap();
+        assert!(ws.localize(&[vec![2, 9], vec![5]]).is_ok());
+        // A candidate without a row, and a row without a candidate.
+        let halo = g.neighbors(2)[0];
+        assert!(ws.localize(&[vec![2, 9], vec![5, halo]]).is_err());
+        assert!(ws.localize(&[vec![2], vec![5]]).is_err());
+    }
+
+    #[test]
+    fn reused_chunk_buffers_serve_the_same_rows() {
+        // Two cache slots over many chunks: every miss past the second
+        // reuses an evicted chunk's vector and the shared byte buffer.
+        let g = random_graph(120, 500, 4, 11);
+        let dir = std::env::temp_dir().join(format!("neursc_store_reuse_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("reuse.nscs");
+        crate::format::pack_graph(&g, &path).unwrap();
+        let store = GraphStore::open(&path, streamed(24, 2)).unwrap();
+        let mut row = Vec::new();
+        for pass in 0..2 {
+            for v in (0..g.n_vertices() as VertexId).rev() {
+                row.clear();
+                store.copy_row(v, &mut row).unwrap();
+                assert_eq!(row.as_slice(), g.neighbors(v), "pass {pass}, row {v}");
+            }
+        }
+        assert!(store.cache_stats().misses > 10);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

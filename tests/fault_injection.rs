@@ -5,12 +5,19 @@
 //! **bit-identical** to a clean sequential run, plus k typed errors — at
 //! any thread count. Corrupt model files fail loading with a typed
 //! corruption error before any weight is copied, and divergent training
-//! rolls back to the best finite checkpoint.
+//! rolls back to the best finite checkpoint. A streamed graph store whose
+//! file is truncated or rewritten after open fails the next estimate that
+//! reloads the damaged chunk with a typed I/O or corruption error.
 
 use neursc::core::persist::{load_model, save_model};
-use neursc::core::{FaultPlan, GraphContext, NeurSc, NeurScConfig, NeurScError};
+use neursc::core::{
+    estimate_partitioned, FaultPlan, GraphContext, NeurSc, NeurScConfig, NeurScError,
+};
 use neursc::prelude::*;
+use neursc::store::{pack_graph, AccessMode, GraphStore, PartitionPlan};
 use rand::SeedableRng;
+use std::io::{Seek, SeekFrom, Write};
+use std::path::PathBuf;
 
 /// Data graph + 32 well-formed queries, deterministic in `seed`.
 fn workload(seed: u64) -> (Graph, Vec<Graph>) {
@@ -232,4 +239,161 @@ fn tiny_filter_step_budget_is_a_typed_budget_error() {
     let model = NeurSc::new(cfg, 2);
     let err = model.estimate(&clean[0], &g).err().unwrap();
     assert!(matches!(err, NeurScError::Budget { .. }), "got {err}");
+}
+
+/// A store file packed from a 2-label graph, opened `Streamed` with a
+/// cache of 2 chunks out of about 19, and one clean partitioned estimate
+/// already run: it read every row (the query's two labels cover every
+/// vertex), so every chunk but the last two has been evicted.
+struct StreamedAfterOpen {
+    g: Graph,
+    q: Graph,
+    path: PathBuf,
+    store: GraphStore,
+    plan: PartitionPlan,
+    model: NeurSc,
+    clean: f64,
+}
+
+/// The fixture's data graph: labels 0 and 1 only.
+fn two_label_graph() -> Graph {
+    neursc::graph::generate::erdos_renyi(200, 600, 2, 31)
+}
+
+impl StreamedAfterOpen {
+    fn new(tag: &str) -> Self {
+        let g = two_label_graph();
+        let q = Graph::from_edges(2, &[0, 1], &[(0, 1)]).unwrap();
+        let dir = std::env::temp_dir().join(format!("neursc_fault_store_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{tag}.nscs"));
+        pack_graph(&g, &path).unwrap();
+        let mode = AccessMode::Streamed {
+            chunk_edges: 64,
+            max_chunks: 2,
+        };
+        let store = GraphStore::open(&path, mode).unwrap();
+        let plan = PartitionPlan::contiguous(&store, 2);
+        let model = NeurSc::new(NeurScConfig::small(), 7);
+        let mut fx = StreamedAfterOpen {
+            g,
+            q,
+            path,
+            store,
+            plan,
+            model,
+            clean: 0.0,
+        };
+        fx.clean = fx.estimate().unwrap();
+        assert!(
+            fx.store.cache_stats().misses > 2,
+            "the cache must have evicted"
+        );
+        fx
+    }
+
+    fn estimate(&self) -> Result<f64, NeurScError> {
+        let ctx = GraphContext::new();
+        estimate_partitioned(&self.model, &self.q, &self.store, &self.plan, &ctx, None, 1)
+            .map(|d| d.count)
+    }
+
+    /// Byte offset of vertex `v`'s row in the store file.
+    fn row_at(&self, v: u32) -> u64 {
+        let n = self.g.n_vertices() as u64;
+        let before: usize = (0..v).map(|w| self.g.degree(w)).sum();
+        40 + 4 * n + 8 * (n + 1) + 4 * before as u64
+    }
+
+    /// Overwrites vertex `v`'s row in place, behind the open store's back.
+    fn rewrite_row(&self, v: u32, row: &[u32]) {
+        let mut f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&self.path)
+            .unwrap();
+        f.seek(SeekFrom::Start(self.row_at(v))).unwrap();
+        for w in row {
+            f.write_all(&w.to_le_bytes()).unwrap();
+        }
+        f.sync_all().unwrap();
+    }
+
+    /// The damaged estimate fails with an error `expect` accepts, and
+    /// keeps failing on the next call (the bad chunk was never cached).
+    fn assert_fails(&self, what: &str, expect: impl Fn(&NeurScError) -> bool) {
+        for attempt in 0..2 {
+            match self.estimate() {
+                Ok(c) => panic!("{what}: attempt {attempt} returned a count {c}"),
+                Err(e) => assert!(expect(&e), "{what}: attempt {attempt}: wrong error {e:?}"),
+            }
+        }
+    }
+}
+
+impl Drop for StreamedAfterOpen {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.path).ok();
+    }
+}
+
+/// A vertex in the first chunks, long evicted, with at least two
+/// neighbors.
+fn early_vertex(g: &Graph) -> u32 {
+    (5..g.n_vertices() as u32)
+        .find(|&v| g.degree(v) >= 2)
+        .unwrap()
+}
+
+#[test]
+fn streamed_store_truncated_after_open_is_a_typed_io_error() {
+    let fx = StreamedAfterOpen::new("truncated");
+    // Cut the file inside the adjacency: a chunk read past the cut comes
+    // back short.
+    let cut = fx.row_at(fx.g.n_vertices() as u32 / 2) + 2;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&fx.path)
+        .unwrap()
+        .set_len(cut)
+        .unwrap();
+    fx.assert_fails("truncated", |e| matches!(e, NeurScError::Io { .. }));
+}
+
+#[test]
+fn streamed_chunk_rewritten_after_open_is_typed_corruption_on_reload() {
+    let g = two_label_graph();
+    let v = early_vertex(&g);
+    let row = g.neighbors(v).to_vec();
+    let unsorted = {
+        let mut r = row.clone();
+        r.swap(0, 1);
+        r
+    };
+    let out_of_range = {
+        let mut r = row.clone();
+        let last = r.len() - 1;
+        r[last] = g.n_vertices() as u32;
+        r
+    };
+    let self_loop = {
+        // Replacing the first neighbor above `v` (or the last one) by `v`
+        // keeps the row strictly ascending.
+        let mut r = row.clone();
+        let j = r.partition_point(|&w| w < v).min(r.len() - 1);
+        r[j] = v;
+        r
+    };
+    for (what, bad) in [
+        ("unsorted row", unsorted),
+        ("out-of-range id", out_of_range),
+        ("self-loop", self_loop),
+    ] {
+        let fx = StreamedAfterOpen::new(&what.replace(' ', "_"));
+        fx.rewrite_row(v, &bad);
+        fx.assert_fails(what, |e| matches!(e, NeurScError::Corrupt { .. }));
+        // Repaired, the same open store answers exactly as before.
+        fx.rewrite_row(v, &row);
+        let again = fx.estimate().unwrap();
+        assert_eq!(again.to_bits(), fx.clean.to_bits(), "{what}: repaired");
+    }
 }

@@ -8,12 +8,17 @@
 //! is deterministic, and the sampling backend reseeds per chunk, so both
 //! must agree to the last mantissa bit; anything looser would let a
 //! partition-boundary bug hide inside a tolerance.
+//!
+//! Pruning hands on the rows of the vertices it kept, and the working set
+//! is built from them: at radius 1 from the rows the profiles were read
+//! from, at radius ≥ 2 from the partition view's core rows. Both paths are
+//! swept, and a streamed estimate reads exactly the chunks pruning reads.
 
 use neursc::core::{estimate_partitioned, GraphContext, NeurSc, NeurScConfig};
 use neursc::graph::generate::erdos_renyi;
 use neursc::graph::Graph;
 use neursc::sample::{SampleConfig, SampleEstimator};
-use neursc::store::{encode_graph, AccessMode, GraphStore, PartitionPlan};
+use neursc::store::{encode_graph, AccessMode, CacheStats, GraphStore, PartitionPlan};
 use neursc_core::partition::PartitionBackend;
 use neursc_core::EstimateDetail;
 
@@ -128,4 +133,73 @@ fn absent_label_is_trivially_zero_partitioned_too() {
         assert_eq!(d.count, 0.0, "{mode:?}");
     }
     sweep(&model, &q, &g, "west/absent-label");
+}
+
+fn with_radius(radius: u32) -> NeurScConfig {
+    let mut cfg = NeurScConfig::small();
+    cfg.filter.profile_radius = radius;
+    cfg
+}
+
+#[test]
+fn deep_profile_radius_partitioned_equals_whole_graph() {
+    let g = erdos_renyi(150, 450, 4, 23);
+    let path3 = Graph::from_edges(3, &[0, 1, 2], &[(0, 1), (1, 2)]).unwrap();
+    let triangle = Graph::from_edges(3, &[0, 1, 1], &[(0, 1), (1, 2), (0, 2)]).unwrap();
+    for radius in [2, 3] {
+        let model = NeurSc::new(with_radius(radius), 13);
+        sweep(&model, &path3, &g, &format!("west/path3/r{radius}"));
+        sweep(&model, &triangle, &g, &format!("west/triangle/r{radius}"));
+        let cfg = SampleConfig::from_model_config(&with_radius(radius)).with_trials(200);
+        let est = SampleEstimator::new(cfg);
+        sweep(&est, &path3, &g, &format!("sample/path3/r{radius}"));
+    }
+}
+
+/// Counter deltas of `store` across `f`.
+fn stats_delta(store: &GraphStore, f: impl FnOnce()) -> CacheStats {
+    let before = store.cache_stats();
+    f();
+    let after = store.cache_stats();
+    CacheStats {
+        hits: after.hits - before.hits,
+        misses: after.misses - before.misses,
+    }
+}
+
+#[test]
+fn streamed_estimate_reads_only_the_chunks_pruning_reads() {
+    let g = erdos_renyi(150, 450, 4, 23);
+    let bytes = encode_graph(&g);
+    // About 8 chunks, all of which fit in the cache: a chunk is missed once
+    // per store, so any row the working set read would show as extra hits.
+    let mode = AccessMode::Streamed {
+        chunk_edges: 128,
+        max_chunks: 64,
+    };
+    let path3 = Graph::from_edges(3, &[0, 1, 2], &[(0, 1), (1, 2)]).unwrap();
+    let triangle = Graph::from_edges(3, &[0, 1, 1], &[(0, 1), (1, 2), (0, 2)]).unwrap();
+    for radius in [1, 2, 3] {
+        let model = NeurSc::new(with_radius(radius), 13);
+        for (name, q) in [("path3", &path3), ("triangle", &triangle)] {
+            let what = format!("{name}, r={radius}");
+            let store = GraphStore::open_bytes(bytes.clone(), mode).unwrap();
+            let plan = PartitionPlan::contiguous(&store, 3);
+            let pruning = stats_delta(&store, || {
+                for core in plan.cores() {
+                    store.local_pruning_core(q, core, radius).unwrap();
+                }
+            });
+            let store = GraphStore::open_bytes(bytes.clone(), mode).unwrap();
+            let estimate = stats_delta(&store, || {
+                estimate_partitioned(&model, q, &store, &plan, &GraphContext::new(), None, 1)
+                    .unwrap();
+            });
+            assert!(pruning.misses > 0, "{what}: pruning read no chunk");
+            assert_eq!(
+                estimate, pruning,
+                "{what}: the estimate read beyond pruning"
+            );
+        }
+    }
 }
